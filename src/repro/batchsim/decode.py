@@ -14,7 +14,6 @@ one table gather.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -161,25 +160,49 @@ _BRANCH_COND_OF = {
 BRANCH_COND = _int_table(lambda opcode: _BRANCH_COND_OF.get(opcode, 0))
 
 
-@lru_cache(maxsize=4096)
-def decode_program(program: Program) -> np.ndarray:
-    """One program lowered to a read-only ``[5, n]`` int64 array.
+#: Opcode index keyed by the enum value: a ``str`` key hashes in C,
+#: where hashing the enum member itself calls ``Enum.__hash__``.
+_OP_INDEX_BY_VALUE = {opcode.value: index for opcode, index in OP_INDEX.items()}
 
-    Rows: opcode index, rd, rs1, rs2, raw immediate.  Cached per
-    program object — both executions of a test-case pair share program
-    objects across their common parts, and benchmark corpora re-run
-    the same programs many times.
+
+def _lower_missing(programs: Sequence[Program]) -> None:
+    """Memoize the ``[5, n]`` columns of every program not yet decoded.
+
+    Rows: opcode index, rd, rs1, rs2, raw immediate.  The instructions
+    of every miss in the batch are flattened into one list and lowered
+    by a single ``np.array`` call; each program then keeps a read-only
+    view of its column slice on ``Program._columns``.  A program is
+    lowered once in its lifetime: benchmark corpora that re-run the
+    same programs reuse the memo, and nothing is hashed to find it.
     """
-    instructions = program.instructions
-    columns = np.empty((5, len(instructions)), dtype=np.int64)
-    for position, instruction in enumerate(instructions):
-        columns[0, position] = OP_INDEX[instruction.opcode]
-        columns[1, position] = instruction.rd
-        columns[2, position] = instruction.rs1
-        columns[3, position] = instruction.rs2
-        columns[4, position] = instruction.imm
-    columns.setflags(write=False)
-    return columns
+    missing = {}
+    for program in programs:
+        if program._columns is None:
+            missing[id(program)] = program
+    if not missing:
+        return
+    index_of = _OP_INDEX_BY_VALUE
+    instructions = [
+        instruction
+        for program in missing.values()
+        for instruction in program.instructions
+    ]
+    lowered = np.array(
+        [
+            [index_of[instruction.opcode._value_] for instruction in instructions],
+            [instruction.rd for instruction in instructions],
+            [instruction.rs1 for instruction in instructions],
+            [instruction.rs2 for instruction in instructions],
+            [instruction.imm for instruction in instructions],
+        ],
+        dtype=np.int64,
+    )
+    lowered.setflags(write=False)
+    start = 0
+    for program in missing.values():
+        stop = start + len(program.instructions)
+        program._columns = lowered[:, start:stop]
+        start = stop
 
 
 def decode_batch(programs: Sequence[Program]):
@@ -188,15 +211,17 @@ def decode_batch(programs: Sequence[Program]):
     Returns ``(op, rd, rs1, rs2, imm, base, code_limit)``: five
     ``[lanes, max_len]`` int64 columns (zero-padded past each lane's
     program) and two ``[lanes]`` arrays with the base address and the
-    byte length of each lane's code region.
+    byte length of each lane's code region.  Each program's columns
+    are memoized on the program itself (see :func:`_lower_missing`),
+    so a warm lane costs one slice copy.
     """
+    _lower_missing(programs)
     lanes = len(programs)
     lengths = [len(program.instructions) for program in programs]
     max_len = max(lengths, default=0)
     columns = np.zeros((5, lanes, max_len), dtype=np.int64)
     for lane, program in enumerate(programs):
-        decoded = decode_program(program)
-        columns[:, lane, : decoded.shape[1]] = decoded
+        columns[:, lane, : lengths[lane]] = program._columns
     base = np.array([program.base_address for program in programs], dtype=np.int64)
     code_limit = 4 * np.array(lengths, dtype=np.int64)
     return (

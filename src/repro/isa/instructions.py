@@ -210,9 +210,9 @@ _IMMEDIATE_RANGE = {
 class Instruction:
     """A single decoded RV32IM instruction.
 
-    Operand fields that do not apply to the opcode must be ``0`` (for
-    register indices) or ``0`` (for the immediate); validation enforces
-    the applicable ranges so every constructed instruction is encodable.
+    Operand fields that do not apply to the opcode must be ``0``;
+    validation enforces that and the applicable ranges, so every
+    constructed instruction is encodable and has one canonical form.
     """
 
     opcode: Opcode
@@ -231,8 +231,40 @@ class Instruction:
                         "%s out of range for %s: %r"
                         % (field_name, self.opcode.name, value)
                     )
+        if (
+            (self.rd and not info.has_rd)
+            or (self.rs1 and not info.has_rs1)
+            or (self.rs2 and not info.has_rs2)
+            or (self.imm and not info.has_imm)
+        ):
+            for field_name in ("rd", "rs1", "rs2", "imm"):
+                if getattr(self, field_name) and not getattr(info, "has_" + field_name):
+                    raise ValueError(
+                        "%s does not apply to %s and must be 0: %r"
+                        % (field_name, self.opcode.name, getattr(self, field_name))
+                    )
         if info.has_imm:
             self._validate_immediate(info)
+
+    @classmethod
+    def _trusted(
+        cls, opcode: Opcode, rd: int = 0, rs1: int = 0, rs2: int = 0, imm: int = 0
+    ) -> "Instruction":
+        """Build an instruction *without* validation.
+
+        Only for callers that construct every field from in-range
+        values by design (the test-case generator's hot loop).  Anything
+        read across a trust boundary — assembly text, machine words,
+        JSON — goes through the validating constructor.
+        """
+        instruction = object.__new__(cls)
+        fields = instruction.__dict__
+        fields["opcode"] = opcode
+        fields["rd"] = rd
+        fields["rs1"] = rs1
+        fields["rs2"] = rs2
+        fields["imm"] = imm
+        return instruction
 
     def _validate_immediate(self, info: OpcodeInfo) -> None:
         if self.opcode in SHIFT_IMMEDIATE_OPCODES:
@@ -262,29 +294,21 @@ class Instruction:
         """Access width in bytes for loads/stores, else ``None``."""
         return MEMORY_ACCESS_WIDTH.get(self.opcode)
 
+    # Non-applicable register fields are 0, so no OPCODE_INFO lookup is
+    # needed below: a field that does not apply never names a register.
+
     def reads(self, register: int) -> bool:
         """Whether this instruction reads ``register`` (x0 never counts)."""
-        if register == 0:
-            return False
-        info = OPCODE_INFO[self.opcode]
-        return (info.has_rs1 and self.rs1 == register) or (
-            info.has_rs2 and self.rs2 == register
-        )
+        return register != 0 and (self.rs1 == register or self.rs2 == register)
 
     def writes(self, register: int) -> bool:
         """Whether this instruction writes ``register`` (x0 never counts)."""
-        if register == 0:
-            return False
-        info = OPCODE_INFO[self.opcode]
-        return info.has_rd and self.rd == register
+        return register != 0 and self.rd == register
 
     @property
     def written_register(self) -> Optional[int]:
         """The architecturally-written register index, if any (not x0)."""
-        info = OPCODE_INFO[self.opcode]
-        if info.has_rd and self.rd != 0:
-            return self.rd
-        return None
+        return self.rd or None
 
     def __str__(self) -> str:
         from repro.isa.disassembler import disassemble

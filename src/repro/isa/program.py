@@ -18,7 +18,7 @@ DEFAULT_BASE_ADDRESS = 0x0000_1000
 class Program:
     """An immutable sequence of instructions at a fixed base address."""
 
-    __slots__ = ("_instructions", "base_address", "_hash")
+    __slots__ = ("_instructions", "base_address", "_hash", "_columns")
 
     def __init__(
         self,
@@ -30,6 +30,10 @@ class Program:
         self._instructions: Tuple[Instruction, ...] = tuple(instructions)
         self.base_address = base_address
         self._hash: Optional[int] = None
+        #: Decoded columns, memoized by :mod:`repro.batchsim.decode`.
+        #: Like ``_hash`` it is derived state: it takes no part in
+        #: equality, hashing or pickling.
+        self._columns = None
 
     @property
     def instructions(self) -> Tuple[Instruction, ...]:
@@ -84,11 +88,13 @@ class Program:
 
     def __hash__(self) -> int:
         # Memoized: programs are immutable and hashing re-hashes every
-        # instruction, which dominates cached per-program lookups (e.g.
-        # the batch engine's decode cache).
+        # instruction.
         if self._hash is None:
             self._hash = hash((self.base_address, self._instructions))
         return self._hash
+
+    def __reduce__(self):
+        return Program, (self._instructions, self.base_address)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "Program(%d instructions @ 0x%08x)" % (

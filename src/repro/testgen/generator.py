@@ -16,6 +16,18 @@ built from three parts:
 The generator only aims; the evaluator computes the *exact* set of
 distinguishing atoms for every test case afterwards, so imperfectly
 targeted cases are still perfectly valid.
+
+**RNG-stream invariant.**  A test case is a pure function of
+``(seed, test_id)`` (plus strategy state), and evaluation datasets,
+resumed run manifests and ``ContractStore`` prefixes are all keyed by
+that.  Every draw in this module is therefore part of the stored
+format: adding, removing, reordering or re-parameterizing a single draw
+changes every dataset and breaks resume and the store prefixes.  The
+draws are the stdlib ``random.Random`` algorithms inlined over
+``rng.getrandbits`` (see :func:`_below`), so they consume exactly the
+bits ``randrange``/``randint``/``choice``/``shuffle`` would, minus the
+call overhead.  ``tests/testgen/test_generation_golden.py`` pins the
+generated bytes.
 """
 
 from __future__ import annotations
@@ -48,6 +60,58 @@ from repro.testgen.testcase import TestCase
 
 _MASK32 = 0xFFFFFFFF
 
+#: Generator-built instructions are in range by construction and skip
+#: validation (``tests/testgen`` re-validates every one they emit).
+_make = Instruction._trusted
+_NOP = Instruction(Opcode.ADDI)
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """``rng._randbelow(n)`` (``n >= 1``): draw ``n.bit_length()`` bits,
+    redraw while the value is ``>= n``.  ``randrange(a, b)`` is
+    ``a + _below(rng, b - a)``, ``randint(a, b)`` is
+    ``randrange(a, b + 1)`` and ``choice(s)`` is
+    ``s[_below(rng, len(s))]``.  The hot loops inline this with
+    precomputed ``(n, k)`` pairs."""
+    k = n.bit_length()
+    value = rng.getrandbits(k)
+    while value >= n:
+        value = rng.getrandbits(k)
+    return value
+
+
+def _randint(rng: random.Random, low: int, high: int) -> int:
+    """``rng.randint(low, high)``."""
+    return low + _below(rng, high - low + 1)
+
+
+#: ``(n, k)`` of the hot constant ranges: ``randint(1, 31)`` (a register
+#: index) and ``randrange(0x100, 0x8000)`` (an address-like value).
+_REG_N = 31
+_REG_K = _REG_N.bit_length()
+_ADDRESS_N = 0x8000 - 0x100
+_ADDRESS_K = _ADDRESS_N.bit_length()
+
+
+def _filler_spec(opcode: Opcode):
+    """``(opcode, has_rd, has_rs1, has_rs2, imm)`` of one filler opcode;
+    ``imm`` is ``(low, n, k)`` of its ``randint`` range, or ``None``."""
+    info = OPCODE_INFO[opcode]
+    if opcode in _SHIFTS_IMM:
+        imm = (0, 32, (32).bit_length())
+    elif info.has_imm:
+        imm = (-2048, 4096, (4096).bit_length())
+    else:
+        imm = None
+    return opcode, info.has_rd, info.has_rs1, info.has_rs2, imm
+
+
+_FILLER_SPECS = tuple(_filler_spec(opcode) for opcode in FILLER_POOL)
+_FILLER_N = len(_FILLER_SPECS)
+_FILLER_K = _FILLER_N.bit_length()
+#: ``k`` of ``shuffle``'s ``_below(rng, i + 1)`` for every pool index.
+_SHUFFLE_K = tuple((index + 1).bit_length() for index in range(32))
+
 
 def child_rng(seed: int, test_id: int) -> random.Random:
     """The per-test-id RNG shared by the legacy generator and every
@@ -74,8 +138,12 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.min_prelude > self.max_prelude or self.min_suffix > self.max_suffix:
             raise ValueError("min length exceeds max length")
+        if self.min_prelude < 0:
+            raise ValueError("prelude length must be non-negative")
         if self.min_suffix < 1:
             raise ValueError("suffix must contain at least one instruction")
+        if not 0.0 <= self.address_like_probability <= 1.0:
+            raise ValueError("address_like_probability must be in [0, 1]")
 
 
 class TestCaseGenerator:
@@ -100,28 +168,29 @@ class TestCaseGenerator:
 
     def iter_generate(self, count: int, start_id: int = 0) -> Iterable[TestCase]:
         for offset in range(count):
-            test_id = start_id + offset
-            rng = child_rng(self.seed, test_id)
-            atom = self._atoms[rng.randrange(len(self._atoms))]
-            yield self.generate_for_atom(atom, test_id, rng)
+            yield self.generate_case(start_id + offset)
+
+    def generate_case(self, test_id: int) -> TestCase:
+        """The random case for ``test_id``: a uniformly drawn atom."""
+        rng = child_rng(self.seed, test_id)
+        atom = self._atoms[_below(rng, len(self._atoms))]
+        return self.generate_for_atom(atom, test_id, rng)
 
     def generate_for_atom(
         self, atom: ContractAtom, test_id: int, rng: random.Random
     ) -> TestCase:
         """Build one test case aimed at ``atom``."""
+        config = self.config
         state = self._random_initial_state(rng)
-        prelude_length = rng.randint(self.config.min_prelude, self.config.max_prelude)
-        suffix_length = rng.randint(self.config.min_suffix, self.config.max_suffix)
+        prelude_length = _randint(rng, config.min_prelude, config.max_prelude)
+        suffix_length = _randint(rng, config.min_suffix, config.max_suffix)
         target = self._random_instance(atom.opcode, rng, suffix_length)
         part2_a, part2_b = self._vary(atom, target, rng, state, suffix_length)
-        prelude = [self._random_filler(rng, ()) for _ in range(prelude_length)]
+        prelude = self._random_fillers(rng, prelude_length, ())
         interesting = self._written_registers(part2_a) | self._written_registers(
             part2_b
         )
-        suffix = [
-            self._random_filler(rng, tuple(sorted(interesting)))
-            for _ in range(suffix_length)
-        ]
+        suffix = self._random_fillers(rng, suffix_length, tuple(sorted(interesting)))
         instructions_a = prelude + part2_a + suffix
         instructions_b = prelude + part2_b + suffix
         return TestCase(
@@ -136,12 +205,18 @@ class TestCaseGenerator:
     # Random raw material
 
     def _random_initial_state(self, rng: random.Random) -> ArchState:
+        draw = rng.random
+        getrandbits = rng.getrandbits
+        address_like = self.config.address_like_probability
         regs = [0] * 32
         for index in range(1, 32):
-            if rng.random() < self.config.address_like_probability:
-                regs[index] = rng.randrange(0x100, 0x8000)
+            if draw() < address_like:
+                value = getrandbits(_ADDRESS_K)
+                while value >= _ADDRESS_N:
+                    value = getrandbits(_ADDRESS_K)
+                regs[index] = 0x100 + value
             else:
-                regs[index] = rng.getrandbits(32)
+                regs[index] = getrandbits(32)
         return ArchState(pc=self.config.base_address, regs=regs)
 
     def _random_instance(
@@ -152,63 +227,98 @@ class TestCaseGenerator:
         Control-flow targets stay inside the program (forward only).
         """
         info = OPCODE_INFO[opcode]
-        rd = rng.randint(1, 31) if info.has_rd else 0
-        rs1 = rng.randint(1, 31) if info.has_rs1 else 0
-        rs2 = rng.randint(1, 31) if info.has_rs2 else 0
+        rd = 1 + _below(rng, _REG_N) if info.has_rd else 0
+        rs1 = 1 + _below(rng, _REG_N) if info.has_rs1 else 0
+        rs2 = 1 + _below(rng, _REG_N) if info.has_rs2 else 0
         imm = 0
         if info.has_imm:
             if opcode in _SHIFTS_IMM:
-                imm = rng.randint(0, 31)
+                imm = _randint(rng, 0, 31)
             elif opcode in _BRANCHES or opcode is Opcode.JAL:
-                imm = 4 * rng.randint(1, max(1, suffix_length))
+                imm = 4 * _randint(rng, 1, max(1, suffix_length))
             elif opcode is Opcode.JALR:
                 imm = 8  # paired with an AUIPC base; see _vary
             elif opcode in _UPPER:
                 imm = rng.getrandbits(20)
             else:
-                imm = rng.randint(-2048, 2047)
-        return Instruction(opcode, rd=rd, rs1=rs1, rs2=rs2, imm=imm)
+                imm = _randint(rng, -2048, 2047)
+        return _make(opcode, rd, rs1, rs2, imm)
 
-    _FILLER_POOL = FILLER_POOL
-
-    def _random_filler(
-        self, rng: random.Random, bias_registers: Sequence[int]
-    ) -> Instruction:
-        """A random non-control instruction; its sources are biased
-        toward ``bias_registers`` to surface leakage of earlier results."""
-        opcode = self._FILLER_POOL[rng.randrange(len(self._FILLER_POOL))]
-        info = OPCODE_INFO[opcode]
-
-        def source() -> int:
-            if bias_registers and rng.random() < 0.5:
-                return bias_registers[rng.randrange(len(bias_registers))]
-            return rng.randint(1, 31)
-
-        rd = rng.randint(1, 31) if info.has_rd else 0
-        rs1 = source() if info.has_rs1 else 0
-        rs2 = source() if info.has_rs2 else 0
-        if opcode in _SHIFTS_IMM:
-            imm = rng.randint(0, 31)
-        elif info.has_imm:
-            imm = rng.randint(-2048, 2047)
-        else:
-            imm = 0
-        return Instruction(opcode, rd=rd, rs1=rs1, rs2=rs2, imm=imm)
+    @staticmethod
+    def _random_fillers(
+        rng: random.Random, count: int, bias_registers: Sequence[int]
+    ) -> List[Instruction]:
+        """``count`` random non-control instructions; their sources are
+        biased toward ``bias_registers`` to surface leakage of earlier
+        results.  Per instruction the draws are: the opcode, ``rd``,
+        each source (a coin, then a bias pick or a random register;
+        no coin without bias registers), the immediate."""
+        draw = rng.random
+        getrandbits = rng.getrandbits
+        bias_n = len(bias_registers)
+        bias_k = bias_n.bit_length()
+        fillers = []
+        for _ in range(count):
+            value = getrandbits(_FILLER_K)
+            while value >= _FILLER_N:
+                value = getrandbits(_FILLER_K)
+            opcode, has_rd, has_rs1, has_rs2, imm_range = _FILLER_SPECS[value]
+            rd = rs1 = rs2 = imm = 0
+            if has_rd:
+                value = getrandbits(_REG_K)
+                while value >= _REG_N:
+                    value = getrandbits(_REG_K)
+                rd = 1 + value
+            if has_rs1:
+                if bias_n and draw() < 0.5:
+                    value = getrandbits(bias_k)
+                    while value >= bias_n:
+                        value = getrandbits(bias_k)
+                    rs1 = bias_registers[value]
+                else:
+                    value = getrandbits(_REG_K)
+                    while value >= _REG_N:
+                        value = getrandbits(_REG_K)
+                    rs1 = 1 + value
+            if has_rs2:
+                if bias_n and draw() < 0.5:
+                    value = getrandbits(bias_k)
+                    while value >= bias_n:
+                        value = getrandbits(bias_k)
+                    rs2 = bias_registers[value]
+                else:
+                    value = getrandbits(_REG_K)
+                    while value >= _REG_N:
+                        value = getrandbits(_REG_K)
+                    rs2 = 1 + value
+            if imm_range is not None:
+                low, imm_n, imm_k = imm_range
+                value = getrandbits(imm_k)
+                while value >= imm_n:
+                    value = getrandbits(imm_k)
+                imm = low + value
+            fillers.append(_make(opcode, rd, rs1, rs2, imm))
+        return fillers
 
     @staticmethod
     def _written_registers(instructions: Sequence[Instruction]):
-        written = set()
-        for instruction in instructions:
-            register = instruction.written_register
-            if register is not None:
-                written.add(register)
-        return written
+        # Non-applicable rd fields are 0, and writes to x0 do not count.
+        return {instruction.rd for instruction in instructions} - {0}
 
     def _scratch_registers(
         self, rng: random.Random, avoid: Sequence[int], count: int
     ) -> List[int]:
-        pool = [index for index in range(1, 32) if index not in set(avoid)]
-        rng.shuffle(pool)
+        avoid = set(avoid)
+        pool = [index for index in range(1, 32) if index not in avoid]
+        # rng.shuffle(pool): Fisher-Yates from the end.  The whole pool
+        # is shuffled even though only ``count`` entries are kept.
+        getrandbits = rng.getrandbits
+        for index in range(len(pool) - 1, 0, -1):
+            k = _SHUFFLE_K[index]
+            other = getrandbits(k)
+            while other > index:
+                other = getrandbits(k)
+            pool[index], pool[other] = pool[other], pool[index]
         return pool[:count]
 
     # ------------------------------------------------------------------
@@ -246,7 +356,7 @@ class TestCaseGenerator:
             return self._vary_address(target, rng, alignment_delta=0)
         if source == "IS_WORD_ALIGNED":
             return self._vary_address(
-                target, rng, alignment_delta=rng.choice((1, 2, 3))
+                target, rng, alignment_delta=(1, 2, 3)[_below(rng, 3)]
             )
         if source == "IS_HALF_ALIGNED":
             return self._vary_address(target, rng, alignment_delta=3)
@@ -264,10 +374,8 @@ class TestCaseGenerator:
         """Wrap targets that need setup (JALR needs an in-program base)."""
         if target.opcode is Opcode.JALR:
             base = self._scratch_registers(rng, (target.rd, 0), 1)[0]
-            setup = Instruction(Opcode.AUIPC, rd=base, imm=0)
-            target = Instruction(
-                Opcode.JALR, rd=target.rd, rs1=base, imm=target.imm
-            )
+            setup = _make(Opcode.AUIPC, rd=base, imm=0)
+            target = _make(Opcode.JALR, rd=target.rd, rs1=base, imm=target.imm)
             return [setup], target
         return [], target
 
@@ -278,9 +386,9 @@ class TestCaseGenerator:
         if not alternatives:
             # JAL/JALR have no same-format sibling: swap in an
             # upper-immediate instruction with a compatible rd.
-            mutated = Instruction(Opcode.AUIPC, rd=max(target.rd, 1), imm=1)
+            mutated = _make(Opcode.AUIPC, rd=max(target.rd, 1), imm=1)
             return setup + [target], setup + [mutated]
-        alternative = alternatives[rng.randrange(len(alternatives))]
+        alternative = alternatives[_below(rng, len(alternatives))]
         mutated = self._rebuild(target, alternative)
         return setup + [target], setup + [mutated]
 
@@ -291,7 +399,7 @@ class TestCaseGenerator:
         imm = target.imm
         if opcode in _SHIFTS_IMM:
             imm &= 31
-        return Instruction(
+        return _make(
             opcode,
             rd=target.rd if info.has_rd else 0,
             rs1=target.rs1 if info.has_rs1 else 0,
@@ -308,8 +416,8 @@ class TestCaseGenerator:
             field_name, current = "RD", target.rd
         replacement = current
         while replacement == current:
-            replacement = rng.randint(1, 31)
-        mutated = Instruction(
+            replacement = _randint(rng, 1, 31)
+        mutated = _make(
             target.opcode,
             rd=replacement if field_name == "RD" else target.rd,
             rs1=replacement if field_name == "RS1" else target.rs1,
@@ -324,11 +432,11 @@ class TestCaseGenerator:
         if opcode in _SHIFTS_IMM:
             other = target.imm
             while other == target.imm:
-                other = rng.randint(0, 31)
+                other = _randint(rng, 0, 31)
         elif opcode in _BRANCHES or opcode is Opcode.JAL:
             choices = [4 * k for k in range(1, max(2, suffix_length + 1))]
             choices = [c for c in choices if c != target.imm]
-            other = choices[rng.randrange(len(choices))]
+            other = choices[_below(rng, len(choices))]
         elif opcode is Opcode.JALR:
             other = target.imm + 4 if target.imm <= 8 else target.imm - 4
         elif opcode in _UPPER:
@@ -338,8 +446,8 @@ class TestCaseGenerator:
         else:
             other = target.imm
             while other == target.imm:
-                other = rng.randint(-2048, 2047)
-        mutated = Instruction(
+                other = _randint(rng, -2048, 2047)
+        mutated = _make(
             opcode, rd=target.rd, rs1=target.rs1, rs2=target.rs2, imm=other
         )
         return setup + [target], setup + [mutated]
@@ -348,17 +456,15 @@ class TestCaseGenerator:
         """Instructions setting ``register`` to ``value`` (or to a
         12-bit fragment of it when a single ADDI suffices)."""
         if -2048 <= value <= 2047:
-            return [Instruction(Opcode.ADDI, rd=register, rs1=0, imm=value)]
+            return [_make(Opcode.ADDI, rd=register, rs1=0, imm=value)]
         upper = (value >> 12) & 0xFFFFF
         lower = value & 0xFFF
         if lower >= 0x800:
             upper = (upper + 1) & 0xFFFFF
             lower -= 0x1000
-        sequence = [Instruction(Opcode.LUI, rd=register, imm=upper)]
+        sequence = [_make(Opcode.LUI, rd=register, imm=upper)]
         if lower:
-            sequence.append(
-                Instruction(Opcode.ADDI, rd=register, rs1=register, imm=lower)
-            )
+            sequence.append(_make(Opcode.ADDI, rd=register, rs1=register, imm=lower))
         return sequence
 
     def _vary_register_value(self, target: Instruction, register: int, rng):
@@ -378,11 +484,11 @@ class TestCaseGenerator:
             compensated = self._vary_base_compensated(target, rng, setup)
             if compensated is not None:
                 return compensated
-        value_a = rng.getrandbits(32) if rng.random() < 0.5 else rng.randrange(0, 4096)
+        value_a = rng.getrandbits(32) if rng.random() < 0.5 else _below(rng, 4096)
         value_b = value_a
         while value_b == value_a:
             value_b = (
-                rng.getrandbits(32) if rng.random() < 0.5 else rng.randrange(0, 4096)
+                rng.getrandbits(32) if rng.random() < 0.5 else _below(rng, 4096)
             )
         part_a = self._loader(register, value_a, rng) + setup + [target]
         part_b = self._loader(register, value_b, rng) + setup + [target]
@@ -391,17 +497,17 @@ class TestCaseGenerator:
     def _vary_base_compensated(self, target: Instruction, rng, setup):
         """Two programs accessing the *same* address through different
         base-register values (immediate compensates the delta)."""
-        delta = 4 * rng.randint(1, 64)
+        delta = 4 * _randint(rng, 1, 64)
         if target.imm - delta >= -2048:
             imm_b = target.imm - delta
         elif target.imm + delta <= 2047:
             imm_b, delta = target.imm + delta, -delta
         else:
             return None
-        address = 4 * rng.randrange(0x40, 0x400)
+        address = 4 * (0x40 + _below(rng, 0x400 - 0x40))
         value_a = (address - target.imm) & _MASK32
         value_b = (address - imm_b) & _MASK32
-        mutated = Instruction(
+        mutated = _make(
             target.opcode,
             rd=target.rd,
             rs1=target.rs1,
@@ -417,7 +523,7 @@ class TestCaseGenerator:
         setup, target = self._finalize_target(target, rng)
         if register == 0:
             return self._vary_register_index(target, "RD", rng)
-        nonzero = rng.randrange(1, 4096)
+        nonzero = 1 + _below(rng, 4096 - 1)
         part_a = self._loader(register, 0, rng) + setup + [target]
         part_b = self._loader(register, nonzero, rng) + setup + [target]
         return self._pad_to_equal_length(part_a, part_b)
@@ -432,9 +538,7 @@ class TestCaseGenerator:
             value_a, value_b = rng.getrandbits(8), rng.getrandbits(8)
             while value_b == value_a:
                 value_b = rng.getrandbits(8)
-            store = Instruction(
-                store_opcode, rs1=target.rs1, rs2=scratch, imm=target.imm
-            )
+            store = _make(store_opcode, rs1=target.rs1, rs2=scratch, imm=target.imm)
             part_a = self._loader(scratch, value_a, rng) + [store, target]
             part_b = self._loader(scratch, value_b, rng) + [store, target]
             return self._pad_to_equal_length(part_a, part_b)
@@ -459,9 +563,9 @@ class TestCaseGenerator:
         leakage observable at all (a cold cache treats every single
         access alike).
         """
-        base = 4 * rng.randrange(0x40, 0x400)
+        base = 4 * (0x40 + _below(rng, 0x400 - 0x40))
         if alignment_delta == 0:
-            address_a, address_b = base, base + 4 * rng.randint(1, 64)
+            address_a, address_b = base, base + 4 * _randint(rng, 1, 64)
         else:
             address_a, address_b = base, base + alignment_delta
         register = target.rs1
@@ -471,7 +575,7 @@ class TestCaseGenerator:
                 rng, (register, target.rd, target.rs2), 2
             )
             warm = self._loader(warm_base, address_a & ~0x3, rng) + [
-                Instruction(Opcode.LW, rd=warm_rd, rs1=warm_base, imm=0)
+                _make(Opcode.LW, rd=warm_rd, rs1=warm_base, imm=0)
             ]
         part_a = self._loader(register, (address_a - target.imm) & _MASK32, rng)
         part_b = self._loader(register, (address_b - target.imm) & _MASK32, rng)
@@ -485,9 +589,7 @@ class TestCaseGenerator:
         if target.rs1 == target.rs2:
             # Equal registers cannot take different values; re-point rs2.
             rs2 = self._scratch_registers(rng, (target.rs1,), 1)[0]
-            target = Instruction(
-                target.opcode, rs1=target.rs1, rs2=rs2, imm=target.imm
-            )
+            target = _make(target.opcode, rs1=target.rs1, rs2=rs2, imm=target.imm)
         taken_first = rng.random() < 0.5
         pair_a = true_pair if taken_first else false_pair
         pair_b = false_pair if taken_first else true_pair
@@ -510,17 +612,17 @@ class TestCaseGenerator:
             true_pair, _false = _BRANCH_VALUE_PAIRS[opcode]
             if target.rs1 == target.rs2:
                 rs2 = self._scratch_registers(rng, (target.rs1,), 1)[0]
-                target = Instruction(opcode, rs1=target.rs1, rs2=rs2, imm=target.imm)
+                target = _make(opcode, rs1=target.rs1, rs2=rs2, imm=target.imm)
             loaders = self._loader(target.rs1, true_pair[0], rng) + self._loader(
                 target.rs2, true_pair[1], rng
             )
             offsets = [4 * k for k in range(1, max(3, suffix_length + 1))]
-            offset_a = offsets[rng.randrange(len(offsets))]
+            offset_a = offsets[_below(rng, len(offsets))]
             offset_b = offset_a
             while offset_b == offset_a:
-                offset_b = offsets[rng.randrange(len(offsets))]
-            taken_a = Instruction(opcode, rs1=target.rs1, rs2=target.rs2, imm=offset_a)
-            taken_b = Instruction(opcode, rs1=target.rs1, rs2=target.rs2, imm=offset_b)
+                offset_b = offsets[_below(rng, len(offsets))]
+            taken_a = _make(opcode, rs1=target.rs1, rs2=target.rs2, imm=offset_a)
+            taken_b = _make(opcode, rs1=target.rs1, rs2=target.rs2, imm=offset_b)
             return loaders + [taken_a], loaders + [taken_b]
         # JAL / JALR: vary the jump offset.
         setup, target = self._finalize_target(target, rng)
@@ -549,15 +651,15 @@ class TestCaseGenerator:
             register = scratch  # degenerate; still a valid random case
         if prefix == "RAW_RD":
             # WAR: the producer *reads* the target's destination.
-            producer_a = Instruction(Opcode.AND, rd=scratch, rs1=register, rs2=0)
-            producer_b = Instruction(Opcode.AND, rd=scratch, rs1=scratch, rs2=0)
+            producer_a = _make(Opcode.AND, rd=scratch, rs1=register, rs2=0)
+            producer_b = _make(Opcode.AND, rd=scratch, rs1=scratch, rs2=0)
         else:
             # RAW/WAW: the producer *writes* the relevant register
             # with its own value (architecturally a no-op).
-            producer_a = Instruction(Opcode.ADD, rd=register, rs1=register, rs2=0)
-            producer_b = Instruction(Opcode.ADD, rd=scratch, rs1=scratch, rs2=0)
+            producer_a = _make(Opcode.ADD, rd=register, rs1=register, rs2=0)
+            producer_b = _make(Opcode.ADD, rd=scratch, rs1=scratch, rs2=0)
         fillers = [
-            Instruction(Opcode.ADD, rd=reg, rs1=reg, rs2=0)
+            _make(Opcode.ADD, rd=reg, rs1=reg, rs2=0)
             for reg in scratch_pool[1:distance]
         ]
         part_a = [producer_a] + fillers + [target]
@@ -568,9 +670,8 @@ class TestCaseGenerator:
     def _pad_to_equal_length(part_a, part_b):
         """Pad the shorter part with architectural no-ops so both
         programs have identical instruction counts."""
-        nop = Instruction(Opcode.ADDI, rd=0, rs1=0, imm=0)
         while len(part_a) < len(part_b):
-            part_a = [nop] + part_a
+            part_a = [_NOP] + part_a
         while len(part_b) < len(part_a):
-            part_b = [nop] + part_b
+            part_b = [_NOP] + part_b
         return part_a, part_b

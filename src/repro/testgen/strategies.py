@@ -84,10 +84,7 @@ class GenerationStrategy(ABC):
 
     def _random_case(self, test_id: int) -> TestCase:
         """The legacy random case for ``test_id`` (the shared fallback)."""
-        rng = child_rng(self.seed, test_id)
-        atoms = self.template.atoms
-        atom = atoms[rng.randrange(len(atoms))]
-        return self._random.generate_for_atom(atom, test_id, rng)
+        return self._random.generate_case(test_id)
 
     # -- feedback ------------------------------------------------------
 

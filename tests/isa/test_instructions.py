@@ -139,3 +139,31 @@ def test_instruction_is_hashable_and_frozen():
 
 def test_str_uses_disassembler():
     assert str(Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3)) == "add ra, sp, gp"
+
+
+@pytest.mark.parametrize(
+    "opcode, fields",
+    [
+        (Opcode.ADD, {"imm": 5}),
+        (Opcode.LUI, {"rs1": 3}),
+        (Opcode.JAL, {"rs2": 1}),
+        (Opcode.SW, {"rd": 1}),
+        (Opcode.BEQ, {"rd": 7}),
+        (Opcode.FENCE, {"rd": 1}),
+        (Opcode.ECALL, {"imm": 1}),
+    ],
+)
+def test_non_applicable_fields_must_be_zero(opcode, fields):
+    """``ADD imm=5`` would encode like ``ADD`` yet compare unequal."""
+    (field_name,) = fields
+    with pytest.raises(ValueError, match=field_name):
+        Instruction(opcode, **fields)
+
+
+def test_trusted_constructor_builds_an_equal_instruction():
+    trusted = Instruction._trusted(Opcode.SRAI, 3, 4, 0, 31)
+    validated = Instruction(Opcode.SRAI, rd=3, rs1=4, imm=31)
+    assert trusted == validated and hash(trusted) == hash(validated)
+    assert type(trusted) is Instruction
+    with pytest.raises(AttributeError):
+        trusted.rd = 5

@@ -10,9 +10,10 @@ generator's inlined copy of its algorithms.
 
 Each digest covers ids ``0 .. COUNT-1`` of one (template, seed,
 strategy) stream.  Every generated instruction is also rebuilt through
-the validating :class:`Instruction` constructor, so the generator's
-unvalidated fast construction can never emit an instruction that
-validation would reject.
+the validating :class:`Instruction` constructor, here and for every
+atom of every registered template, so the generator's unvalidated fast
+construction can never emit an instruction that validation would
+reject.
 """
 
 import hashlib
@@ -147,3 +148,16 @@ def test_generated_bytes_match_golden_digest(key):
     assert [case.test_id for case in cases] == list(range(COUNT))
     assert _digest(cases) == GOLDEN[key]
     _assert_revalidates(cases)
+
+
+@pytest.mark.parametrize("template_name", sorted(TEMPLATE_REGISTRY.names()))
+def test_every_atom_generates_valid_instructions(template_name):
+    """Each variation strategy, including ones a random sample rarely
+    draws, emits only instructions validation accepts."""
+    template = TEMPLATE_REGISTRY.create(template_name)
+    generator = TestCaseGenerator(template, seed=0)
+    _assert_revalidates(
+        generator.generate_for_atom(atom, trial, random.Random(trial))
+        for atom in template
+        for trial in range(3)
+    )

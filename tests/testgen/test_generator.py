@@ -175,6 +175,26 @@ def test_config_validation():
         GeneratorConfig(min_suffix=0, max_suffix=0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"min_prelude": -1},
+        {"address_like_probability": -0.1},
+        {"address_like_probability": 1.5},
+        {"address_like_probability": float("nan")},
+    ],
+)
+def test_config_rejects_out_of_range_values(fields):
+    with pytest.raises(ValueError):
+        GeneratorConfig(**fields)
+
+
+def test_config_accepts_boundary_values():
+    GeneratorConfig(min_prelude=0, max_prelude=0)
+    GeneratorConfig(address_like_probability=0.0)
+    GeneratorConfig(address_like_probability=1.0)
+
+
 def test_testcase_base_address_mismatch(template):
     generator = TestCaseGenerator(template, seed=0)
     case = generator.generate(1)[0]
