@@ -27,12 +27,14 @@ SOLVER_REGISTRY = Registry("solver", "ILP solver backends")
 SOLVER_REGISTRY.register(
     ScipyMilpSolver.name,
     ScipyMilpSolver,
-    description="exact 0-1 ILP via scipy.optimize.milp / HiGHS (default)",
+    description="exact 0-1 ILP (default): a pure-Python proof when the "
+    "optimal minimal contract is unique, else scipy.optimize.milp / HiGHS",
 )
 SOLVER_REGISTRY.register(
     BranchAndBoundSolver.name,
     BranchAndBoundSolver,
-    description="exact pure-Python branch and bound (no SciPy needed)",
+    description="exact pure-Python branch and bound, fewest atoms among "
+    "optimal contracts (cross-check oracle)",
 )
 SOLVER_REGISTRY.register(
     GreedySolver.name,

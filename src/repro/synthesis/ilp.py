@@ -13,7 +13,7 @@ Constraints
     test case ``t``; ``s_A ≤ c_t`` per indistinguishable ``t`` and
     ``A ∈ distinguishing(t)``.
 
-Before solving we apply three loss-free reductions:
+:func:`build_ilp_instance` applies four loss-free reductions:
 
 1. Atoms that distinguish no attacker-distinguishable test case are
    never selected by an optimal solution (they cover nothing and can
@@ -23,6 +23,16 @@ Before solving we apply three loss-free reductions:
    distinguishing sets yield identical constraints and are deduplicated.
 3. Indistinguishable test cases with identical candidate intersections
    are merged into one ``c_t`` with an integer weight.
+4. Dominated atoms are removed (:func:`eliminate_dominated_atoms`;
+   skipped with ``reduce_dominated=False``).  This preserves the
+   optimum value but not the set of optimal selections.
+
+:func:`reduce_to_fixpoint` goes further for the exact search in
+:mod:`repro.synthesis.solvers`: it splits off forced atoms and drops
+superset coverage constraints, and it preserves every
+inclusion-minimal cover, not only the optimum value.  Its output is a
+separate residual instance; :func:`build_ilp_instance` does not apply
+it.
 
 Test cases whose restricted distinguishing set is *empty* cannot be
 covered by any contract from the (restricted) template; they are
@@ -78,6 +88,22 @@ class IlpInstance:
     def covers_all(self, selection: Iterable[int]) -> bool:
         selected = frozenset(selection)
         return all(not atoms.isdisjoint(selected) for atoms in self.cover_sets)
+
+    def atom_masks(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Per-atom bitmasks ``(cover_mask, fp_mask)``: bit ``i`` of
+        ``cover_mask[a]`` is set when atom ``a`` is in ``cover_sets[i]``,
+        bit ``i`` of ``fp_mask[a]`` when it is in ``fp_sets[i]``."""
+        cover_mask: Dict[int, int] = {atom_id: 0 for atom_id in self.candidate_atom_ids}
+        for position, atoms in enumerate(self.cover_sets):
+            bit = 1 << position
+            for atom_id in atoms:
+                cover_mask[atom_id] |= bit
+        fp_mask: Dict[int, int] = {atom_id: 0 for atom_id in self.candidate_atom_ids}
+        for position, (atoms, _weight) in enumerate(self.fp_sets):
+            bit = 1 << position
+            for atom_id in atoms:
+                fp_mask[atom_id] |= bit
+        return cover_mask, fp_mask
 
     def false_positive_test_ids(self, selection: Iterable[int]) -> List[int]:
         selected = frozenset(selection)
@@ -158,16 +184,7 @@ def eliminate_dominated_atoms(instance: IlpInstance) -> IlpInstance:
     signatures on a finite test set.
     """
     atom_ids = instance.candidate_atom_ids
-    cover_mask: Dict[int, int] = {atom_id: 0 for atom_id in atom_ids}
-    for position, atoms in enumerate(instance.cover_sets):
-        bit = 1 << position
-        for atom_id in atoms:
-            cover_mask[atom_id] |= bit
-    fp_mask: Dict[int, int] = {atom_id: 0 for atom_id in atom_ids}
-    for position, (atoms, _weight) in enumerate(instance.fp_sets):
-        bit = 1 << position
-        for atom_id in atoms:
-            fp_mask[atom_id] |= bit
+    cover_mask, fp_mask = instance.atom_masks()
 
     # Deduplicate identical signatures first (keep the smallest id).
     by_signature: Dict[Tuple[int, int], int] = {}
@@ -205,3 +222,56 @@ def eliminate_dominated_atoms(instance: IlpInstance) -> IlpInstance:
         cover_test_ids=instance.cover_test_ids,
         fp_test_ids=tuple(ids for _atoms, _weight, ids in fp_pairs),
     )
+
+
+def reduce_to_fixpoint(instance: IlpInstance) -> Tuple[FrozenSet[int], IlpInstance]:
+    """Split ``instance`` into its forced atoms and a residual instance.
+
+    The inclusion-minimal covers of ``instance`` are exactly the sets
+    ``forced | m`` for the inclusion-minimal covers ``m`` of the
+    residual, and the false-positive weight of ``forced | m`` is the
+    weight the forced atoms pay plus the residual weight of ``m``.  So
+    the reduction preserves every minimal cover and its rank, not only
+    the optimum value.  Three rules, each with that property:
+
+    1. An atom that is some coverage constraint's only member is in
+       every cover.  It is forced; the constraints it covers and the FP
+       sets it pays for leave the residual.
+    2. A coverage constraint that is a superset of another one is
+       satisfied by every selection that satisfies the smaller one, so
+       it is dropped (duplicates keep one copy).
+    3. Atoms that no remaining constraint contains are in no minimal
+       cover, so they leave the residual and every FP set.
+
+    No rule changes the atoms of a constraint it keeps, so no rule can
+    enable another one: one pass of each reaches the fixpoint.  FP sets
+    left identical are merged with summed weights.  Dominance
+    elimination and zero-cost shortcuts are deliberately absent: they
+    keep the optimum value but drop optimal minimal covers.
+    """
+    forced = frozenset(
+        atom_id for atoms in instance.cover_sets if len(atoms) == 1 for atom_id in atoms
+    )
+    remaining = sorted(
+        {atoms for atoms in instance.cover_sets if atoms.isdisjoint(forced)},
+        key=lambda atoms: (len(atoms), sorted(atoms)),
+    )
+    cover_sets: List[FrozenSet[int]] = []
+    for atoms in remaining:
+        if not any(smaller <= atoms for smaller in cover_sets):
+            cover_sets.append(atoms)
+    candidates = frozenset().union(*cover_sets)
+
+    fp_weights: Dict[FrozenSet[int], int] = {}
+    for atoms, weight in instance.fp_sets:
+        if atoms.isdisjoint(forced):
+            atoms = atoms & candidates
+            if atoms:
+                fp_weights[atoms] = fp_weights.get(atoms, 0) + weight
+    residual = IlpInstance(
+        candidate_atom_ids=tuple(sorted(candidates)),
+        cover_sets=tuple(sorted(cover_sets, key=sorted)),
+        fp_sets=tuple(sorted(fp_weights.items(), key=lambda item: sorted(item[0]))),
+        uncoverable_test_ids=(),
+    )
+    return forced, residual

@@ -379,3 +379,29 @@ class TestExecutorBackends:
                 .executor("serial")
                 .evaluate()
             )
+
+
+def test_default_run_does_not_import_scipy_optimize():
+    """A default run whose optimal contract is unique is solved without
+    SciPy's optimizer, so its ~0.5 s import never happens."""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from repro.pipeline import SynthesisPipeline\n"
+        "result = SynthesisPipeline().core('ibex').template('riscv-mem')"
+        ".budget(300).run()\n"
+        "assert result.synthesis.solver_result.optimal\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+    )
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

@@ -2,7 +2,7 @@
 
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
 from repro.synthesis.ilp import build_ilp_instance as _build_ilp_instance
-from repro.synthesis.ilp import eliminate_dominated_atoms
+from repro.synthesis.ilp import eliminate_dominated_atoms, reduce_to_fixpoint
 
 
 def build_ilp_instance(dataset, allowed_atom_ids=None):
@@ -195,3 +195,79 @@ class TestDominanceReduction:
         dataset = make_dataset([(0, True, {1, 2}), (1, False, {2})])
         instance = _build_ilp_instance(dataset)
         assert instance.candidate_atom_ids == (1,)
+
+
+class TestFixpointReduction:
+    def test_forced_atoms_pay_their_fp_sets(self):
+        # Atom 1 alone covers case 0: forced.  It covers case 1 too and
+        # pays FP set {1, 2}, which then costs atom 2 nothing.
+        dataset = make_dataset(
+            [
+                (0, True, {1}),
+                (1, True, {1, 3}),
+                (2, True, {2, 3}),
+                (3, False, {1, 2}),
+                (4, False, {3}),
+            ]
+        )
+        forced, residual = reduce_to_fixpoint(build_ilp_instance(dataset))
+        assert forced == {1}
+        assert residual.candidate_atom_ids == (2, 3)
+        assert residual.cover_sets == (frozenset({2, 3}),)
+        assert residual.fp_sets == ((frozenset({3}), 1),)
+
+    def test_superset_cover_sets_dropped(self):
+        dataset = make_dataset(
+            [
+                (0, True, {1, 2}),
+                (1, True, {1, 2, 3}),
+                (2, True, {4, 5}),
+                (3, False, {3, 4}),
+                (4, False, {3}),
+            ]
+        )
+        forced, residual = reduce_to_fixpoint(build_ilp_instance(dataset))
+        assert forced == frozenset()
+        assert residual.cover_sets == (frozenset({1, 2}), frozenset({4, 5}))
+        # Atom 3 is in no remaining constraint; FP set {3, 4} becomes
+        # {4}, and {3} vanishes.
+        assert residual.candidate_atom_ids == (1, 2, 4, 5)
+        assert residual.fp_sets == ((frozenset({4}), 1),)
+
+    def test_identical_fp_sets_merged(self):
+        dataset = make_dataset(
+            [(0, True, {1, 2}), (1, False, {1, 3}), (2, False, {1, 4})]
+        )
+        _forced, residual = reduce_to_fixpoint(build_ilp_instance(dataset))
+        assert residual.fp_sets == ((frozenset({1}), 2),)
+
+    def test_duplicate_cover_sets_after_dominance_kept_once(self):
+        # Dominance (atom 1 over 2 and 3) leaves cover sets {1} twice.
+        dataset = make_dataset(
+            [(0, True, {1, 2}), (1, True, {1, 3}), (2, False, {2, 3})]
+        )
+        instance = _build_ilp_instance(dataset)
+        assert instance.cover_sets == (frozenset({1}), frozenset({1}))
+        forced, residual = reduce_to_fixpoint(instance)
+        assert forced == {1}
+        assert residual.cover_sets == ()
+
+    def test_is_a_fixpoint(self):
+        import random
+
+        for seed in range(30):
+            rng = random.Random(seed)
+            dataset = make_dataset(
+                [
+                    (
+                        test_id,
+                        rng.random() < 0.5,
+                        set(rng.sample(range(1, 12), rng.randint(1, 4))),
+                    )
+                    for test_id in range(20)
+                ]
+            )
+            _forced, residual = reduce_to_fixpoint(_build_ilp_instance(dataset))
+            again_forced, again = reduce_to_fixpoint(residual)
+            assert again_forced == frozenset()
+            assert again == residual

@@ -7,12 +7,15 @@ import random
 import pytest
 
 from repro.evaluation.results import EvaluationDataset, TestCaseResult
-from repro.synthesis.ilp import build_ilp_instance
+from repro.metrics.registry import Metrics, install_metrics
+from repro.synthesis.ilp import build_ilp_instance, reduce_to_fixpoint
 from repro.synthesis.solvers import (
     BranchAndBoundSolver,
     GreedySolver,
     ScipyMilpSolver,
+    prove_unique_optimum,
 )
+from repro.trace.tracer import Tracer
 
 ALL_SOLVERS = [ScipyMilpSolver(), BranchAndBoundSolver(), GreedySolver()]
 EXACT_SOLVERS = [ScipyMilpSolver(), BranchAndBoundSolver()]
@@ -151,8 +154,30 @@ def brute_force_optimum(instance):
     return best
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_exact_solvers_match_brute_force(seed):
+def minimal_covers(instance):
+    """Every inclusion-minimal cover of ``instance``, by exhaustion."""
+    atoms = instance.candidate_atom_ids
+    covers = [
+        frozenset(subset)
+        for size in range(len(atoms) + 1)
+        for subset in itertools.combinations(atoms, size)
+        if instance.covers_all(subset)
+    ]
+    return {cover for cover in covers if not any(other < cover for other in covers)}
+
+
+def optimal_minimal_covers(instance):
+    """The inclusion-minimal covers of optimal false-positive weight."""
+    covers = minimal_covers(instance)
+    best = min(instance.false_positive_weight(cover) for cover in covers)
+    return {cover for cover in covers if instance.false_positive_weight(cover) == best}
+
+
+def random_instance(seed):
+    """A small random instance: up to 8 atoms, 2-6 coverage cases,
+    0-8 indistinguishable cases.  Seeds from 12 on also draw
+    singleton and nested coverage sets and repeated indistinguishable
+    cases, which exercise every rule of ``reduce_to_fixpoint``."""
     rng = random.Random(seed)
     atom_pool = list(range(1, 9))
     entries = []
@@ -164,7 +189,21 @@ def test_exact_solvers_match_brute_force(seed):
         entries.append(
             (False, set(rng.sample(atom_pool, rng.randint(1, 3))))
         )
-    instance = make_instance(entries)
+    if seed >= 12:
+        covers = [atoms for dist, atoms in entries if dist]
+        for _ in range(rng.randint(0, 2)):
+            entries.append((True, {rng.choice(atom_pool)}))
+        for _ in range(rng.randint(0, 2)):
+            entries.append((True, rng.choice(covers) | {rng.choice(atom_pool)}))
+        fps = [atoms for dist, atoms in entries if not dist]
+        for _ in range(rng.randint(0, 4) if fps else 0):
+            entries.append((False, set(rng.choice(fps))))
+    return make_instance(entries)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_exact_solvers_match_brute_force(seed):
+    instance = random_instance(seed)
     expected = brute_force_optimum(instance)
     assert expected is not None
     for solver in EXACT_SOLVERS:
@@ -177,6 +216,65 @@ def test_exact_solvers_match_brute_force(seed):
             assert len(result.selected_atom_ids) == expected[1], solver.name
         else:
             assert len(result.selected_atom_ids) >= expected[1], solver.name
+
+    # The pure-Python first stage of scipy-milp answers only with the
+    # unique optimal minimal cover, which the HiGHS path also returns;
+    # a tie is a real one.
+    optimal = optimal_minimal_covers(instance)
+    proof = prove_unique_optimum(instance)
+    highs = ScipyMilpSolver()._solve_highs(instance)
+    assert proof.status in ("unique", "tie")
+    if proof.status == "unique":
+        assert optimal == {proof.selection}
+        assert highs.selected_atom_ids == proof.selection
+        assert highs.optimal
+    else:
+        assert proof.selection is None
+        assert len(optimal) >= 2
+    result = ScipyMilpSolver().solve(instance)
+    assert result.selected_atom_ids == highs.selected_atom_ids
+    assert result.false_positives == highs.false_positives
+    assert result.optimal == highs.optimal
+
+
+def test_random_instances_reach_both_outcomes():
+    statuses = {
+        prove_unique_optimum(random_instance(seed)).status for seed in range(60)
+    }
+    assert statuses == {"unique", "tie"}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_fixpoint_reduction_preserves_minimal_covers(seed):
+    instance = random_instance(seed)
+    forced, residual = reduce_to_fixpoint(instance)
+    paid = instance.false_positive_weight(forced)
+    reduced = minimal_covers(residual)
+    assert minimal_covers(instance) == {forced | cover for cover in reduced}
+    for cover in reduced:
+        assert instance.false_positive_weight(forced | cover) == (
+            paid + residual.false_positive_weight(cover)
+        )
+
+
+def test_unique_optimum_work_limit(monkeypatch):
+    instance = make_instance(
+        [(True, {1, 5}), (True, {2, 5}), (False, {5}), (False, {5})]
+    )
+    assert prove_unique_optimum(instance).selection == {1, 2}
+    monkeypatch.setattr("repro.synthesis.solvers.UNIQUE_OPTIMUM_WORK_LIMIT", 0)
+    proof = prove_unique_optimum(instance)
+    assert proof.status == "limit"
+    assert proof.selection is None
+    assert proof.work >= 1
+
+
+def test_unique_optimum_with_everything_forced():
+    instance = make_instance([(True, {1}), (True, {1, 2}), (False, {1})])
+    proof = prove_unique_optimum(instance)
+    assert proof.status == "unique"
+    assert proof.selection == {1}
+    assert proof.nodes == 0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -211,3 +309,71 @@ def test_scipy_stats():
     )
     result = ScipyMilpSolver().solve(instance)
     assert result.stats["variables"] >= 3
+
+
+def test_scipy_fast_path_stats_describe_the_milp():
+    instance = make_instance(
+        [(True, {1, 5}), (True, {2, 5}), (False, {5}), (False, {5})]
+    )
+    fast = ScipyMilpSolver().solve(instance)
+    highs = ScipyMilpSolver()._solve_highs(instance)
+    assert fast.stats["nodes"] >= 1
+    for stat in ("variables", "constraints"):
+        assert fast.stats[stat] == highs.stats[stat]
+
+
+def solver_counters(tmp_path, instances, solver):
+    metrics = Metrics(Tracer(str(tmp_path / "trace.jsonl")))
+    previous = install_metrics(metrics)
+    try:
+        for instance in instances:
+            solver.solve(instance)
+    finally:
+        install_metrics(previous)
+    return {
+        name: metrics.counter(name).value
+        for name in (
+            "solver.fast_path",
+            "solver.fallbacks.tie",
+            "solver.fallbacks.limit",
+            "solver.limit_hits",
+        )
+    }
+
+
+def test_scipy_outcome_counters(tmp_path, monkeypatch):
+    unique = make_instance(
+        [(True, {1, 5}), (True, {2, 5}), (False, {5}), (False, {5})]
+    )
+    tie = make_instance([(True, {1, 2}), (False, {1}), (False, {2})])
+    assert solver_counters(tmp_path, [unique, unique, tie], ScipyMilpSolver()) == {
+        "solver.fast_path": 2,
+        "solver.fallbacks.tie": 1,
+        "solver.fallbacks.limit": 0,
+        "solver.limit_hits": 0,
+    }
+    monkeypatch.setattr("repro.synthesis.solvers.UNIQUE_OPTIMUM_WORK_LIMIT", 0)
+    counts = solver_counters(tmp_path, [unique], ScipyMilpSolver())
+    assert counts["solver.fallbacks.limit"] == 1
+    assert counts["solver.fast_path"] == 0
+
+
+def test_scipy_time_limit_reports_gap(tmp_path, monkeypatch):
+    import numpy as np
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+
+    instance = make_instance([(True, {1, 2}), (False, {1}), (False, {2})])
+    # A HiGHS run stopped by its time limit with an incumbent (status
+    # 1): atom 1 selected, its FP variable set, 50% gap to the bound.
+    stopped = OptimizeResult(
+        status=1, success=False, x=np.array([1.0, 0.0, 1.0, 0.0]), mip_gap=0.5
+    )
+    monkeypatch.setattr(scipy.optimize, "milp", lambda **kwargs: stopped)
+    result = ScipyMilpSolver()._solve_highs(instance)
+    assert not result.optimal
+    assert result.selected_atom_ids == {1}
+    assert result.stats["mip_gap"] == 0.5
+    counts = solver_counters(tmp_path, [instance], ScipyMilpSolver())
+    assert counts["solver.limit_hits"] == 1
+    assert counts["solver.fallbacks.tie"] == 1
